@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -52,6 +51,12 @@ class UnexpectedQueue:
             raise MatchingError(
                 f"UQ region of {region.nbytes} B too small for "
                 f"{slots} slots")
+        if region.addr % CACHE_LINE or cache.line != CACHE_LINE:
+            # Each slot must be exactly one cache line for the per-slot
+            # line numbers below to be the lines a slot access touches.
+            raise MatchingError(
+                "UQ slots must be aligned to the cache model's "
+                f"{CACHE_LINE}-byte lines")
         self.region = region
         self.cache = cache
         self.slots = slots
@@ -69,6 +74,9 @@ class UnexpectedQueue:
         # hand a live entry's slot to a new one and corrupt the per-slot
         # cache accounting.  Lowest-index-first keeps the layout compact.
         self._free_slots: list[int] = list(range(slots))
+        # Cache line number of each entry's slot, index-aligned with
+        # ``_entries``: what a scan charges to the cache model.
+        self._lines: list[int] = []
         self.appended = 0
         self.matched = 0
 
@@ -94,6 +102,7 @@ class UnexpectedQueue:
         self._src[n] = source
         self._tag[n] = tag
         self._entries.append(entry)
+        self._lines.append(slot_addr // CACHE_LINE)
         self.appended += 1
         self.cache.touch(slot_addr, CACHE_LINE, label="na-uq-append")
         return entry
@@ -127,6 +136,7 @@ class UnexpectedQueue:
     def _remove_at(self, idx: int) -> UqEntry:
         entries = self._entries
         entry = entries.pop(idx)
+        del self._lines[idx]
         n = len(entries)
         if idx < n:
             # Close the gap in the mirror columns (numpy buffers
@@ -153,21 +163,20 @@ class UnexpectedQueue:
         if (len(entries) < _VECTOR_MIN or win_id is None
                 or source is None or tag is None):
             # Short queue or a request shape the bulk compare cannot
-            # introspect: the original scalar scan.
+            # introspect: a scalar scan.
+            idx = -1
             for i, entry in enumerate(entries):
-                self.cache.touch(entry.slot_addr, CACHE_LINE,
-                                 label="na-uq-scan")
                 if req.matches(entry.win_id, entry.source, entry.tag):
-                    return self._remove_at(i)
-            return None
-        idx = self._first_match(win_id, source, tag)
-        # Identical cache accounting to the scalar scan: every slot up to
-        # and including the match (or the whole queue on a miss) is
-        # touched in arrival order.
+                    idx = i
+                    break
+        else:
+            idx = self._first_match(win_id, source, tag)
+        # The scan visits every slot up to and including the match (or
+        # the whole queue on a miss), in arrival order: one batched
+        # charge with the same effect as a touch per slot.
         stop = idx + 1 if idx >= 0 else len(entries)
-        touch = self.cache.touch
-        for entry in islice(entries, stop):
-            touch(entry.slot_addr, CACHE_LINE, label="na-uq-scan")
+        if stop:
+            self.cache.touch_lines(self._lines[:stop], label="na-uq-scan")
         if idx < 0:
             return None
         return self._remove_at(idx)

@@ -87,7 +87,7 @@ class Region:
     def write(self, offset: int, data: bytes | np.ndarray) -> None:
         raw = (np.frombuffer(data, dtype=np.uint8)
                if isinstance(data, (bytes, bytearray, memoryview))
-               else data.view(np.uint8).ravel())
+               else np.ascontiguousarray(data).view(np.uint8).ravel())
         self._check(offset, raw.nbytes)
         self._record(offset, raw.nbytes, write=True)
         start = self.addr + offset
@@ -125,6 +125,11 @@ class AddressSpace:
         self.size = size
         self.mem = np.zeros(size, dtype=np.uint8)
         self._holes: list[tuple[int, int]] = [(0, size)]  # sorted by addr
+        #: First-fit hints: for each ``(nbytes, align)`` an index into
+        #: ``_holes`` below which no hole fits that request, so a scan
+        #: starts there.  Exact: ``alloc`` returns the same address as a
+        #: scan from hole 0 would.
+        self._hints: dict[tuple[int, int], int] = {}
         self.allocated_bytes = 0
         self.peak_bytes = 0
         #: Sanitizer hook; wired by :class:`repro.cluster.Cluster` when
@@ -140,7 +145,11 @@ class AddressSpace:
         if align <= 0 or (align & (align - 1)) != 0:
             raise AllocationError(
                 f"alignment must be a power of two, got {align}")
-        for i, (addr, size) in enumerate(self._holes):
+        holes = self._holes
+        hints = self._hints
+        key = (nbytes, align)
+        for i in range(hints.get(key, 0), len(holes)):
+            addr, size = holes[i]
             start = (addr + align - 1) & ~(align - 1)
             pad = start - addr
             if size >= pad + nbytes:
@@ -151,7 +160,17 @@ class AddressSpace:
                 tail = size - pad - nbytes
                 if tail:
                     new_holes.append((start + nbytes, tail))
-                self._holes[i:i + 1] = new_holes
+                holes[i:i + 1] = new_holes
+                # The pad and tail are parts of hole i, so no request
+                # that could not use hole i fits them: hints past i
+                # just move by the net hole count.  The pad ends at this
+                # request's aligned start, so it never fits the request.
+                shift = len(new_holes) - 1
+                if shift:
+                    for k, h in hints.items():
+                        if h > i:
+                            hints[k] = h + shift
+                hints[key] = i + 1 if pad else i
                 self.allocated_bytes += nbytes
                 self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
                 return Region(self, start, nbytes)
@@ -192,10 +211,17 @@ class AddressSpace:
             paddr, psize = self._holes[i - 1]
             if paddr + psize == addr:
                 self._holes[i - 1:i + 1] = [(paddr, psize + size)]
+                i -= 1
+        # Holes before i are untouched; hole i is new or grew, so a hint
+        # past it could skip a hole that now fits.
+        hints = self._hints
+        for k, h in hints.items():
+            if h > i:
+                hints[k] = i
 
     def copy_in(self, addr: int, data: np.ndarray) -> None:
         """Raw write used by the NIC DMA path (bounds-checked)."""
-        raw = data.view(np.uint8).ravel()
+        raw = np.ascontiguousarray(data).view(np.uint8).ravel()
         if addr < 0 or addr + raw.nbytes > self.size:
             raise BufferError_(
                 f"DMA write [{addr}, {addr + raw.nbytes}) outside "

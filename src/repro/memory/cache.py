@@ -16,6 +16,7 @@ accounting, not latency — because the paper's claim is a miss *count*.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 #: Cache line size in bytes (x86-typical; also the notification entry size
@@ -70,23 +71,60 @@ class CacheModel:
     def touch(self, addr: int, nbytes: int, space: int = 0,
               label: str = "") -> int:
         """Access ``[addr, addr+nbytes)``; returns the line-miss count."""
-        misses = 0
-        for lineno in self._lines(addr, nbytes):
+        line = self.line
+        lineno = addr // line
+        if addr + nbytes > lineno * line + line:
+            return self.touch_lines(
+                range(lineno, (addr + nbytes - 1) // line + 1), space, label)
+        # One line (also a zero-byte access): the common case, inlined.
+        key = (space, lineno)
+        st = self._sets[lineno % self.nsets]
+        stats = self.stats
+        if key in st:
+            st.move_to_end(key)
+            stats.hits += 1
+            return 0
+        stats.misses += 1
+        if label:
+            stats.by_label[label] = stats.by_label.get(label, 0) + 1
+        st[key] = True
+        if len(st) > self.ways:
+            st.popitem(last=False)
+            stats.evictions += 1
+        return 1
+
+    def touch_lines(self, lines: Iterable[int], space: int = 0,
+                    label: str = "") -> int:
+        """Access whole lines by number, in order; returns the miss count.
+
+        The effect on every set's LRU order and on :attr:`stats` equals
+        one ``touch(n * self.line, self.line, space, label)`` per line
+        number ``n`` — the counters are just summed once per batch
+        instead of once per line.  The UQ scan charges every slot it
+        visits through here.
+        """
+        sets = self._sets
+        nsets = self.nsets
+        ways = self.ways
+        hits = misses = evictions = 0
+        for lineno in lines:
             key = (space, lineno)
-            st = self._sets[lineno % self.nsets]
+            st = sets[lineno % nsets]
             if key in st:
                 st.move_to_end(key)
-                self.stats.hits += 1
+                hits += 1
             else:
                 misses += 1
-                self.stats.misses += 1
-                if label:
-                    self.stats.by_label[label] = \
-                        self.stats.by_label.get(label, 0) + 1
                 st[key] = True
-                if len(st) > self.ways:
+                if len(st) > ways:
                     st.popitem(last=False)
-                    self.stats.evictions += 1
+                    evictions += 1
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        if label and misses:
+            stats.by_label[label] = stats.by_label.get(label, 0) + misses
         return misses
 
     def flush_range(self, addr: int, nbytes: int, space: int = 0) -> None:

@@ -362,3 +362,20 @@ def test_uq_capacity_stable_under_churn():
         uq.append(win_id=1, source=0, tag=tag, nbytes=8, time=0.0)
     with pytest.raises(MatchingError):
         uq.append(win_id=1, source=0, tag=99, nbytes=8, time=0.0)
+
+
+def test_uq_rejects_slots_straddling_cache_lines():
+    """Each UQ slot must be exactly one cache line — the scan charges
+    one line per slot — so an unaligned region is refused up front."""
+    from repro.core.matching import UnexpectedQueue
+    from repro.memory.address import AddressSpace, Region
+    from repro.memory.cache import CACHE_LINE, CacheModel
+
+    space = AddressSpace(0, 1 << 16)
+    region = Region(space, 8, 4 * CACHE_LINE)     # 8- but not 64-aligned
+    with pytest.raises(MatchingError, match="aligned"):
+        UnexpectedQueue(region, CacheModel(), slots=4)
+    with pytest.raises(MatchingError, match="aligned"):
+        UnexpectedQueue(space.alloc(4 * 128, align=128),
+                        CacheModel(size_bytes=8 * 128, ways=2, line=128),
+                        slots=4)

@@ -87,6 +87,20 @@ def test_region_read_write_bytes():
     assert r.read(4, 3) == b"\x01\x02\x03"
 
 
+def test_strided_arrays_write_their_elements():
+    """A non-contiguous view (every other element, a column) is written
+    element by element, not rejected by ``view(np.uint8)``."""
+    space = AddressSpace(0, 4096)
+    r = space.alloc(64)
+    strided = np.arange(8.0)[::2]
+    r.write(0, strided)
+    assert np.array_equal(r.ndarray(np.float64, count=4), strided)
+    column = np.arange(12, dtype=np.int32).reshape(4, 3)[:, 1]
+    space.copy_in(r.addr + 32, column)
+    assert np.array_equal(
+        space.copy_out(r.addr + 32, 16).view(np.int32), [1, 4, 7, 10])
+
+
 def test_region_out_of_bounds_rejected():
     space = AddressSpace(0, 4096)
     r = space.alloc(16)

@@ -115,3 +115,79 @@ def test_cache_against_reference_lru(addrs):
         s.append(lineno)
         if len(s) > ways:
             s.pop(0)
+
+
+# -- property: fast paths agree with the plain per-line reference touch --
+def _reference_touch(c, addr, nbytes, space=0, label=""):
+    """The straightforward per-line ``touch``: one LRU step and one stats
+    update for every line of ``[addr, addr+nbytes)``."""
+    misses = 0
+    first = addr // c.line
+    last = (addr + max(nbytes, 1) - 1) // c.line
+    for lineno in range(first, last + 1):
+        key = (space, lineno)
+        s = c._sets[lineno % c.nsets]
+        if key in s:
+            s.move_to_end(key)
+            c.stats.hits += 1
+        else:
+            misses += 1
+            c.stats.misses += 1
+            if label:
+                c.stats.by_label[label] = c.stats.by_label.get(label, 0) + 1
+            s[key] = True
+            if len(s) > c.ways:
+                s.popitem(last=False)
+                c.stats.evictions += 1
+    return misses
+
+
+def _state(c):
+    return (c.stats.hits, c.stats.misses, c.stats.evictions,
+            c.stats.by_label, [list(s) for s in c._sets])
+
+
+# Addresses and sizes biased to land on, just before and just after a
+# line boundary, where one access turns into two lines.
+_addr = st.builds(lambda k, off: k * 64 + off, st.integers(0, 31),
+                  st.sampled_from((0, 1, 63)) | st.integers(0, 63))
+_nbytes = (st.sampled_from((0, 1, 63, 64, 65, 128, 129))
+           | st.integers(0, 200))
+_access = st.tuples(_addr, _nbytes,
+                    st.sampled_from((0, 1)),         # space
+                    st.sampled_from(("", "a", "b")))  # label
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_access, min_size=1, max_size=120),
+       st.lists(st.booleans(), min_size=120, max_size=120))
+def test_batched_and_single_line_touch_equal_reference(accesses, cuts):
+    """``touch`` and ``touch_lines`` leave the same stats and the same
+    LRU key order in every set as the per-line reference, for accesses
+    at any (also non-line-aligned) address and any batch split."""
+    def make():
+        return CacheModel(size_bytes=4 * 2 * 64, ways=2, line=64)
+
+    ref, single, batched = make(), make(), make()
+    batch, key = [], None
+    for (addr, nbytes, space, label), cut in zip(accesses, cuts):
+        want = _reference_touch(ref, addr, nbytes, space, label)
+        assert single.touch(addr, nbytes, space, label) == want
+        # The lines one access covers, appended to the current batch; a
+        # batch is flushed at a random cut or when space/label change.
+        if batch and (cut or key != (space, label)):
+            batched.touch_lines(batch, *key)
+            batch = []
+        key = (space, label)
+        batch.extend(range(addr // 64, (addr + max(nbytes, 1) - 1) // 64 + 1))
+    batched.touch_lines(batch, *key)
+    assert _state(single) == _state(ref)
+    assert _state(batched) == _state(ref)
+
+
+def test_touch_lines_returns_batch_misses():
+    c = CacheModel(size_bytes=2 * 64, ways=2, line=64)  # 1 set, 2 ways
+    assert c.touch_lines([0, 1, 0, 2, 1], label="uq") == 4
+    assert (c.stats.hits, c.stats.misses, c.stats.evictions) == (1, 4, 2)
+    assert c.stats.by_label == {"uq": 4}
+    assert c.touch_lines([]) == 0

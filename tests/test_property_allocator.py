@@ -15,6 +15,8 @@ free list.  Invariants checked after every step:
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,119 @@ def test_free_in_any_order_coalesces_back_to_one_hole(sizes):
         regions[i].free()
     assert space._holes == [(0, SPACE)]
     assert space.free_bytes() == SPACE
+
+
+# -- exact first-fit: the hinted allocator against the plain linear scan --
+class _LinearFirstFit:
+    """The allocator's free list with a plain first-fit scan from hole 0
+    on every alloc: the address oracle for ``AddressSpace``'s hints."""
+
+    def __init__(self, size):
+        self.holes = [(0, size)]
+        self.merges = set()          # which neighbours frees coalesced
+
+    def alloc(self, nbytes, align):
+        for i, (addr, size) in enumerate(self.holes):
+            start = (addr + align - 1) & ~(align - 1)
+            pad = start - addr
+            if size >= pad + nbytes:
+                new_holes = []
+                if pad:
+                    new_holes.append((addr, pad))
+                tail = size - pad - nbytes
+                if tail:
+                    new_holes.append((start + nbytes, tail))
+                self.holes[i:i + 1] = new_holes
+                return start
+        return None
+
+    def free(self, addr, size):
+        i = bisect.bisect_left(self.holes, (addr, 0))
+        self.holes.insert(i, (addr, size))
+        merged = []
+        if i + 1 < len(self.holes):
+            naddr, nsize = self.holes[i + 1]
+            if addr + size == naddr:
+                self.holes[i:i + 2] = [(addr, size + nsize)]
+                size += nsize
+                merged.append("successor")
+        if i > 0:
+            paddr, psize = self.holes[i - 1]
+            if paddr + psize == addr:
+                self.holes[i - 1:i + 1] = [(paddr, psize + size)]
+                merged.append("predecessor")
+        self.merges.add(" and ".join(merged) or "none")
+
+
+def _replay_against_linear(ops, size=SPACE):
+    """Run ``ops`` on an AddressSpace and the linear oracle; every alloc
+    must return the same address and every step leave the same holes."""
+    space = AddressSpace(0, size)
+    oracle = _LinearFirstFit(size)
+    live = []
+    for op in ops:
+        if op[0] == "alloc":
+            _, nbytes, align = op
+            want = oracle.alloc(nbytes, align)
+            if want is None:
+                with pytest.raises(AllocationError):
+                    space.alloc(nbytes, align=align)
+            else:
+                region = space.alloc(nbytes, align=align)
+                assert region.addr == want
+                live.append(region)
+        elif live:
+            region = live.pop(op[1] % len(live))
+            oracle.free(region.addr, region.nbytes)
+            region.free()
+        assert space._holes == oracle.holes
+    return oracle
+
+
+@st.composite
+def small_aligned_runs(draw):
+    """Long runs of small aligned allocs — the kv pattern of 32 B at
+    align 64 leaves a dead pad hole per request — mixed with other
+    alignments, and frees that land next to free neighbours."""
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        nbytes = draw(st.sampled_from((8, 24, 32, 48, 64, 100, 300)))
+        align = draw(st.sampled_from((1, 8, 64, 256)))
+        run = draw(st.integers(1, 40))
+        ops += [("alloc", nbytes, align)] * run
+        for _ in range(draw(st.integers(0, run))):
+            ops.append(("free", draw(st.integers(0, 1 << 16))))
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.one_of(op_sequences(), small_aligned_runs()))
+def test_hinted_first_fit_equals_linear_scan(ops):
+    _replay_against_linear(ops)
+
+
+def test_kv_pattern_hints_stay_exact_through_every_coalesce():
+    """The kv request pattern (32 B at align 64) interleaved with other
+    alignments and frees in address order, reverse order and alternate
+    blocks — so frees coalesce with a predecessor, a successor, both, and
+    neither — on a space small enough to also exhaust it."""
+    ops = [("alloc", 32, 64)] * 200 + [("alloc", 8, 8)] * 20
+    ops += [("alloc", 40, 256), ("alloc", 1, 1)] * 10
+    ops += [("free", 2 * k) for k in range(60)]       # alternate blocks
+    ops += [("alloc", 32, 64)] * 50 + [("alloc", 16, 1)] * 50
+    ops += [("free", 7)] * 80 + [("free", 1000)] * 40  # runs of neighbours
+    ops += [("alloc", 4096, 64)] * 8                  # exhausts the space
+    oracle = _replay_against_linear(ops, size=1 << 15)
+    assert {"none", "successor", "predecessor",
+            "successor and predecessor"} <= oracle.merges
+
+
+def test_exact_fit_shifts_other_requests_hints():
+    """An exact fit removes a hole below another request's hint; that
+    hint must move down with the holes or the next alloc skips one."""
+    ops = [("alloc", 100, 1), ("alloc", 50, 1), ("alloc", 100, 1),
+           ("free", 1),                  # a 50 B hole below the tail
+           ("alloc", 100, 1),            # skips it: hint past the hole
+           ("alloc", 50, 1),             # exact fit removes that hole
+           ("alloc", 100, 1)]
+    _replay_against_linear(ops, size=500)

@@ -131,3 +131,48 @@ def test_drain_order_matches_repeated_oracle_scan(appends, source, tag):
     assert [(e.win_id, e.source, e.tag, e.time)
             for e in uq._entries] == \
         [e for e in oracle if e not in matching]
+
+
+def _cache_state(cache):
+    s = cache.stats
+    return (s.hits, s.misses, s.evictions, s.by_label,
+            [list(lru) for lru in cache._sets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((0, 3, 15, 16, 17, 40)).flatmap(
+           lambda n: st.lists(_append_op(), min_size=n, max_size=n)),
+       st.lists(st.one_of(_append_op(), _remove_op()), max_size=48))
+def test_scan_cache_accounting_equals_per_entry_touches(prefill, ops):
+    """``find_and_remove`` charges the cache exactly as touching the head
+    and then every scanned slot one by one would — same stats, same LRU
+    order in every set — for queues both shorter and longer than the
+    vectorized-compare threshold, on a cache small enough to evict."""
+    space = AddressSpace(0, 1 << 20)
+    slots = len(prefill) + len(ops) + 1
+    region = space.alloc(slots * CACHE_LINE, align=CACHE_LINE)
+    cache = CacheModel(size_bytes=4 * 2 * CACHE_LINE, ways=2)
+    uq = UnexpectedQueue(region, cache, slots=slots)
+    ref = CacheModel(size_bytes=4 * 2 * CACHE_LINE, ways=2)
+    oracle = []                      # (win_id, source, tag, slot_addr)
+    for time, (kind, win_id, source, tag) in enumerate(prefill + ops):
+        if kind == "append":
+            entry = uq.append(win_id, source, tag, nbytes=8,
+                              time=float(time))
+            ref.touch(entry.slot_addr, CACHE_LINE, label="na-uq-append")
+            oracle.append((win_id, source, tag, entry.slot_addr))
+        else:
+            got = uq.find_and_remove(_Req(win_id, source, tag))
+            ref.touch(uq.head_addr, 8, label="na-uq-head")
+            want = None
+            for queued in oracle:
+                ref.touch(queued[3], CACHE_LINE, label="na-uq-scan")
+                if _oracle_first([queued], win_id, source, tag):
+                    want = queued
+                    break
+            if want is None:
+                assert got is None
+            else:
+                assert got.slot_addr == want[3]
+                oracle.remove(want)
+        assert _cache_state(cache) == _cache_state(ref)
