@@ -1,150 +1,58 @@
 """Static deadlock detection over the symbolic wait-for graph.
 
-The concrete rank traces are replayed under a maximal-progress abstract
-scheduler: posts and sends complete eagerly (they never block in the
-simulator), blocking waits consume matching notifications in arrival
-order (the engine's own matching order), and barriers/fences release
-when every unfinished rank has reached one.  When the replay reaches a
-state where no rank can advance, the blocked ranks' wait-for edges are
-examined; a cycle is a definite deadlock and is reported with the full
-blocking chain.  Rank starvation *without* a cycle (a wait whose poster
-already terminated) is left to the budget checker, so each defect gets
-exactly one diagnostic.
+The concrete rank traces go through the shared maximal-progress replay
+(:mod:`repro.analysis.replay`): posts and sends complete eagerly,
+waits and recvs consume in arrival order, and barriers plus the
+collective ``win_allocate``/``win_free`` are rendezvous.  When the
+replay reaches a state where no rank can advance, the blocked ranks'
+wait-for edges are examined; a cycle is a definite deadlock and is
+reported with the full blocking chain.  Rank starvation *without* a
+cycle (a wait whose remaining supply falls short of its count) is left
+to the budget checker, so each defect gets exactly one diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.instantiate import COp, Trace
+from repro.analysis.instantiate import COp
 from repro.analysis.ir import Program
+from repro.analysis.replay import RENDEZVOUS, RankState, matches, replay
 from repro.analysis.report import Finding
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
 
-@dataclass
-class _RankState:
-    trace: Trace
-    index: int = 0
-    #: notifications delivered to this rank: (mech, win, source, tag)
-    inbox: list[tuple[str, object, int, int]] = field(
-        default_factory=list)
-    #: sends addressed to this rank: (source, tag)
-    sends: list[tuple[int, int]] = field(default_factory=list)
+def _has_supply(states: list[RankState], rank: int) -> bool:
+    """Whether what is still undelivered or in flight could ever
+    satisfy the op ``rank`` is blocked on.
 
-    @property
-    def finished(self) -> bool:
-        return self.index >= len(self.trace.ops)
-
-    @property
-    def current(self) -> COp | None:
-        if self.finished:
-            return None
-        return self.trace.ops[self.index]
-
-
-def _matches(entry: tuple[str, object, int, int], op: COp) -> bool:
-    mech, win, source, tag = entry
-    return (mech == op.mech
-            and (op.mech == "p2p" or win == op.win)
-            and op.source in (ANY_SOURCE, source)
-            and op.tag in (ANY_TAG, tag))
-
-
-def _try_wait(state: _RankState, op: COp) -> bool:
-    hits = [i for i, entry in enumerate(state.inbox)
-            if _matches(entry, op)]
-    if len(hits) < op.expected:
-        return False
-    for i in reversed(hits[:op.expected]):
-        del state.inbox[i]
-    return True
-
-
-def _try_recv(state: _RankState, op: COp) -> bool:
-    for i, (source, tag) in enumerate(state.sends):
-        if op.source in (ANY_SOURCE, source) and \
-                op.tag in (ANY_TAG, tag):
-            del state.sends[i]
-            return True
-    return False
-
-
-def _replay(traces: list[Trace]) -> list[_RankState]:
-    states = [_RankState(trace=t) for t in traces]
-    while True:
-        progressed = False
-        for state in states:
-            while not state.finished:
-                op = state.trace.ops[state.index]
-                if op.kind == "post":
-                    assert op.target is not None
-                    states[op.target].inbox.append(
-                        (op.mech, op.win, op.source, op.tag))
-                elif op.kind == "send":
-                    assert op.target is not None
-                    states[op.target].sends.append((op.source, op.tag))
-                elif op.kind == "wait":
-                    if not _try_wait(state, op):
-                        break
-                elif op.kind == "recv":
-                    if not _try_recv(state, op):
-                        break
-                elif op.kind == "barrier":
-                    break
-                state.index += 1
-                progressed = True
-        # collective release: every unfinished rank parked at a barrier
-        waiting = [s for s in states if not s.finished]
-        if waiting and all(s.current is not None
-                           and s.current.kind == "barrier"
-                           for s in waiting):
-            for s in waiting:
-                s.index += 1
-            progressed = True
-        if not progressed:
-            return states
-
-
-def _has_supply(states: list[_RankState], rank: int) -> bool:
-    """Whether anything in the whole trace set could ever satisfy the
-    op ``rank`` is blocked on.
-
-    A wait with no compatible supply anywhere is *starvation* — that is
-    the budget checker's finding, and counting it into a cycle would
-    double-report the same defect as a deadlock.
+    A wait whose remaining compatible supply falls short of its count
+    is *starvation* — that is the budget checker's finding, and
+    counting it into a cycle would double-report the same defect as a
+    deadlock.
     """
     op = states[rank].current
     if op is None:
         return False
-    if op.kind == "barrier":
+    if op.kind in RENDEZVOUS:
         return True
+    supply = [states[r].trace.ops[k] for r, k in states[rank].inbox]
     for state in states:
-        for other in state.trace.ops:
-            if other.kind == "post" and op.kind == "wait" and \
-                    other.target == rank and \
-                    _matches((other.mech, other.win, other.source,
-                              other.tag), op):
-                return True
-            if other.kind == "send" and op.kind == "recv" and \
-                    other.target == rank and \
-                    op.source in (ANY_SOURCE, other.source) and \
-                    op.tag in (ANY_TAG, other.tag):
-                return True
-    return False
+        supply.extend(other for other in state.trace.ops[state.index:]
+                      if other.kind in ("post", "send")
+                      and other.target == rank)
+    return sum(1 for other in supply if matches(other, op)) >= \
+        op.expected
 
 
-def _wait_edges(states: list[_RankState], rank: int) -> list[int]:
+def _wait_edges(states: list[RankState], rank: int) -> list[int]:
     """Ranks that could still unblock ``rank``."""
-    state = states[rank]
-    op = state.current
+    op = states[rank].current
     if op is None:
         return []
     blocked = {i for i, s in enumerate(states) if not s.finished}
-    if op.kind == "barrier":
+    if op.kind in RENDEZVOUS:
         return [i for i in blocked
-                if i != rank and (states[i].current is None
-                                  or states[i].current.kind != "barrier")]
+                if i != rank and states[i].trace.ops[
+                    states[i].index].kind not in RENDEZVOUS]
     if op.kind in ("wait", "recv"):
         if op.source == ANY_SOURCE:
             return [i for i in blocked if i != rank]
@@ -185,7 +93,7 @@ def check_deadlock(program: Program, size: int,
             any(t.has_poll for t in traces) or \
             any(t.has_pscw for t in traces):
         return []
-    states = _replay(traces)
+    states = replay(traces).states
     blocked = [i for i, s in enumerate(states)
                if not s.finished and _has_supply(states, i)]
     if not blocked:
@@ -212,9 +120,13 @@ def check_deadlock(program: Program, size: int,
 
 
 def _describe(op: COp) -> str:
-    if op.kind == "barrier":
-        return "barrier"
+    if op.kind in RENDEZVOUS:
+        return _COLLECTIVE_NAME[op.kind]
     src = "ANY_SOURCE" if op.source == ANY_SOURCE else str(op.source)
     tag = "ANY_TAG" if op.tag == ANY_TAG else str(op.tag)
     verb = "recv" if op.kind == "recv" else f"{op.mech} wait"
     return f"{verb} source={src} tag={tag}"
+
+
+_COLLECTIVE_NAME = {"barrier": "barrier", "walloc": "win_allocate",
+                    "wfree": "win_free"}

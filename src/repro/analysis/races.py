@@ -15,10 +15,11 @@ with no happens-before path between them are reported as one of
 
 The checker runs only on programs whose geometry resolved exactly
 (``Trace.race_exact``); the *matching* between posts and waits comes
-from a maximal-progress replay and is then verified per wait — any
-compatible post that is not provably issued after the wait completed
-downgrades that wait to a sound k-th-smallest lower bound, so the
-static happens-before is never stronger than every real schedule.
+from the shared maximal-progress replay (:mod:`repro.analysis.replay`)
+and is then verified per wait — any compatible post that is not
+provably issued after the wait completed downgrades that wait to a
+sound k-th-smallest lower bound, so the static happens-before is never
+stronger than every real schedule.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.instantiate import AllocVal, COp, Trace, WindowVal
 from repro.analysis.ir import Program
+from repro.analysis.replay import OpId, Schedule, matches, replay
 from repro.analysis.report import Finding
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
 #: FMA payload ceiling (repro.network.loggp.LogGPParams.fma_max default):
 #: transfers at or below this ride an in-order channel on every
@@ -67,83 +68,6 @@ class _Post:
     issue_vc: dict[int, int] = field(default_factory=dict)
     #: what a matching wait acquires (commit vc; READ-leg vc for gets)
     acq_vc: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class _RankState:
-    trace: Trace
-    index: int = 0
-    #: delivered notifications: (mech, win, source, tag, post id)
-    inbox: list[tuple[str, object, int, int, tuple[int, int]]] = field(
-        default_factory=list)
-
-    @property
-    def finished(self) -> bool:
-        return self.index >= len(self.trace.ops)
-
-
-_BARRIER_CLASS = frozenset({"barrier", "walloc", "wfree"})
-
-OpId = tuple[int, int]          # (rank, index into trace.ops)
-#: replay linearization: ("op", op id) | ("sync", rendezvous group)
-Schedule = list[tuple[str, "OpId | list[OpId]"]]
-
-
-def _wait_matches(entry: tuple[str, object, int, int, OpId],
-                  op: COp) -> bool:
-    mech, win, source, tag, _pid = entry
-    return (mech == op.mech and win == op.win
-            and op.source in (ANY_SOURCE, source)
-            and op.tag in (ANY_TAG, tag))
-
-
-def _replay(traces: list[Trace]) -> tuple[
-        Schedule, dict[OpId, list[OpId]]] | None:
-    """Maximal-progress replay: a global linearization plus the
-    arrival-order matching of posts to waits.  ``None`` on starvation
-    (the budget/deadlock checkers own that defect)."""
-    states = [_RankState(trace=t) for t in traces]
-    schedule: Schedule = []
-    matching: dict[OpId, list[OpId]] = {}
-    while True:
-        progressed = False
-        for rank, state in enumerate(states):
-            while not state.finished:
-                op = state.trace.ops[state.index]
-                if op.kind == "post":
-                    assert op.target is not None
-                    states[op.target].inbox.append(
-                        (op.mech, op.win, op.source, op.tag,
-                         (rank, state.index)))
-                elif op.kind == "wait":
-                    hits = [i for i, entry in enumerate(state.inbox)
-                            if _wait_matches(entry, op)]
-                    if len(hits) < op.expected:
-                        break
-                    taken = hits[:op.expected]
-                    matching[(rank, state.index)] = [
-                        state.inbox[i][4] for i in taken]
-                    for i in reversed(taken):
-                        del state.inbox[i]
-                elif op.kind in _BARRIER_CLASS:
-                    break
-                schedule.append(("op", (rank, state.index)))
-                state.index += 1
-                progressed = True
-        waiting = [s for s in states if not s.finished]
-        if waiting and all(
-                s.trace.ops[s.index].kind in _BARRIER_CLASS
-                for s in waiting):
-            group = [(rank, s.index) for rank, s in enumerate(states)
-                     if not s.finished]
-            schedule.append(("sync", group))
-            for s in waiting:
-                s.index += 1
-            progressed = True
-        if not progressed:
-            if any(not s.finished for s in states):
-                return None
-            return schedule, matching
 
 
 class _ClockPass:
@@ -331,10 +255,6 @@ def _assign_actors(traces: list[Trace]) -> dict[OpId, int]:
     return actors
 
 
-def _wait_pattern(op: COp) -> tuple[str, object, int, int]:
-    return (op.mech, op.win, op.source, op.tag)
-
-
 def _kth_smallest_bound(pool: list[dict[int, int]],
                         k: int) -> dict[int, int]:
     """Componentwise k-th smallest over the pool (missing = 0): with at
@@ -514,10 +434,10 @@ def check_races(program: Program, size: int,
                 return []
             if op.kind == "barrier" and op.mech == "coll":
                 return []
-    replayed = _replay(traces)
-    if replayed is None:
-        return []                       # starvation: budget's domain
-    schedule, matching = replayed
+    replayed = replay(traces)
+    if replayed.stuck:
+        return []                       # budget/deadlock's domain
+    schedule, matching = replayed.schedule, replayed.matching
     actors = _assign_actors(traces)
 
     # per-wait pools (compatible posts program-wide) and pattern depth
@@ -535,14 +455,13 @@ def check_races(program: Program, size: int,
         for index, op in enumerate(trace.ops):
             if op.kind != "wait":
                 continue
-            pattern = _wait_pattern(op)
+            pattern = (op.mech, op.win, op.source, op.tag)
             depth[pattern] = depth.get(pattern, 0) + op.expected
             wid = (rank, index)
             wait_depth[wid] = depth[pattern]
             pools[wid] = [
                 pid for pid, post in posts_by_target.get(rank, [])
-                if _wait_matches((post.mech, post.win, post.source,
-                                  post.tag, pid), op)]
+                if matches(post, op)]
 
     downgraded: set[OpId] = set()
     total_waits = len(wait_depth)

@@ -11,8 +11,8 @@ Serving applications driven by the open-loop generator in
   checkpoints, crash-exiting servers under node-failure injection;
 * :func:`~repro.apps.services.pubsub.run_pubsub` — pub/sub broker
   (publisher fan-out, counting-notification batch wakeup on
-  subscribers), with ``replication=``/``ft=`` knobs for mirror-broker
-  durability under broker deaths.
+  subscribers); ``replication > 1`` or a fault plan switches on
+  mirror-broker durability under broker deaths.
 """
 
 from repro.apps.services.kv import build_kv_workload, run_kv

@@ -301,11 +301,37 @@ def _client_program(ctx, plans, nservers, replication, reqs_per_client,
             "t_end": t_last - t0}
 
 
+def _check_kv_args(nservers: int, nclients: int, replication: int,
+                   reqs_per_client: int, attempts: int,
+                   config: ClusterConfig | None
+                   ) -> tuple[int, ClusterConfig]:
+    """Argument check shared with ``run_kv_ft``; a request's tag is
+    ``attempt * reqs_per_client + i`` for up to ``attempts`` attempts.
+    Returns the rank count and the (defaulted) cluster config."""
+    if nservers < 1 or nclients < 1:
+        raise ReproError("need at least one server and one client")
+    if not 1 <= replication <= nservers:
+        raise ReproError(
+            f"replication {replication} outside [1, nservers={nservers}]")
+    if not 1 <= attempts * reqs_per_client <= 0xFFFF:
+        raise ReproError(
+            f"{attempts} attempt(s) x reqs_per_client={reqs_per_client} "
+            f"must fit the 16-bit tag space "
+            f"(tag = attempt * reqs_per_client + i)")
+    nranks = nservers + nclients
+    if config is None:
+        config = ClusterConfig(nranks=nranks, ranks_per_node=2)
+    if config.nranks != nranks:
+        raise ReproError(f"config has {config.nranks} ranks, "
+                         f"need {nranks}")
+    return nranks, config
+
+
 def run_kv(nservers: int = 4, nclients: int = 8, replication: int = 2,
            reqs_per_client: int = 32, rate_rps: float = 4000.0,
            get_frac: float = 0.5, nkeys: int = 64, zipf_skew: float = 0.9,
            warmup_frac: float = 0.2, process: str = "poisson",
-           verify: bool = False, ft: bool = False, seed: int = 42,
+           verify: bool = False, seed: int = 42,
            config: ClusterConfig | None = None) -> dict:
     """Run the sharded KV service; returns stores, orders, and latencies.
 
@@ -315,35 +341,12 @@ def run_kv(nservers: int = 4, nclients: int = 8, replication: int = 2,
     (virtual times only) — golden-trace tests compare it verbatim
     between serial and sharded runs.
 
-    ``ft=True`` switches to the fault-tolerant programs of
-    :mod:`repro.apps.services.kv_ft` (replication failover, epoch
-    checkpoints, crash-exiting servers) — required whenever the cluster
-    config carries a fault plan that kills server ranks.  The legacy
-    ``ft=False`` path is untouched and stays byte-identical to earlier
-    revisions.
+    Runs that kill server ranks need the fault-tolerant programs of
+    :func:`~repro.apps.services.kv_ft.run_kv_ft` (replication
+    failover, epoch checkpoints, crash-exiting servers).
     """
-    if ft:
-        from repro.apps.services.kv_ft import run_kv_ft
-        return run_kv_ft(nservers=nservers, nclients=nclients,
-                         replication=replication,
-                         reqs_per_client=reqs_per_client,
-                         rate_rps=rate_rps, get_frac=get_frac,
-                         nkeys=nkeys, zipf_skew=zipf_skew,
-                         warmup_frac=warmup_frac, process=process,
-                         verify=verify, seed=seed, config=config)
-    if nservers < 1 or nclients < 1:
-        raise ReproError("need at least one server and one client")
-    if not 1 <= replication <= nservers:
-        raise ReproError(
-            f"replication {replication} outside [1, nservers={nservers}]")
-    if not 1 <= reqs_per_client <= 0xFFFF:
-        raise ReproError("reqs_per_client must fit the 16-bit tag space")
-    nranks = nservers + nclients
-    if config is None:
-        config = ClusterConfig(nranks=nranks, ranks_per_node=2)
-    if config.nranks != nranks:
-        raise ReproError(f"config has {config.nranks} ranks, "
-                         f"need {nranks}")
+    nranks, config = _check_kv_args(nservers, nclients, replication,
+                                    reqs_per_client, 1, config)
     plans = build_kv_workload(seed, nclients, reqs_per_client, rate_rps,
                               get_frac, nkeys, zipf_skew, process)
     legal = (_legal_values(plans, reqs_per_client, nkeys)

@@ -55,6 +55,8 @@ import numpy as np
 from repro.apps.services.kv import (
     _RECORD_BYTES,
     _VALUE_BYTES,
+    _check_kv_args,
+    _legal_values,
     build_kv_workload,
     copy_servers,
     seed_value,
@@ -412,21 +414,8 @@ def run_kv_ft(nservers: int = 4, nclients: int = 8, replication: int = 2,
     Returns the legacy result surface plus availability, failover, and
     checkpoint-recovery accounting.
     """
-    if nservers < 1 or nclients < 1:
-        raise ReproError("need at least one server and one client")
-    if not 1 <= replication <= nservers:
-        raise ReproError(
-            f"replication {replication} outside [1, nservers={nservers}]")
-    if not 1 <= nservers * reqs_per_client <= 0xFFFF:
-        raise ReproError(
-            "nservers * reqs_per_client must fit the 16-bit tag space "
-            "(retries use tag = attempt * reqs_per_client + i)")
-    nranks = nservers + nclients
-    if config is None:
-        config = ClusterConfig(nranks=nranks, ranks_per_node=2)
-    if config.nranks != nranks:
-        raise ReproError(f"config has {config.nranks} ranks, "
-                         f"need {nranks}")
+    nranks, config = _check_kv_args(nservers, nclients, replication,
+                                    reqs_per_client, nservers, config)
     plan_f = config.faults
     deaths: dict[int, float] = {}
     if plan_f is not None and plan_f.active:
@@ -445,7 +434,6 @@ def run_kv_ft(nservers: int = 4, nclients: int = 8, replication: int = 2,
             raise ReproError("at least one server must survive")
     plans = build_kv_workload(seed, nclients, reqs_per_client, rate_rps,
                               get_frac, nkeys, zipf_skew, process)
-    from repro.apps.services.kv import _legal_values
     legal = (_legal_values(plans, reqs_per_client, nkeys)
              if verify else None)
     expected_us = reqs_per_client * nclients / rate_rps * 1e6

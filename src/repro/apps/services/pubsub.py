@@ -34,6 +34,17 @@ Wakeup path — the counting feature
     same-timestamp event ordering (the sharded core's tie-break
     freedom).
 
+Fault-tolerant mode
+    With ``replication > 1`` or an active fault plan, every publish is
+    mirrored to the first R live brokers of the topic's ring
+    (durability), while only the topic's static primary forwards to
+    subscribers — so delivery counts stay the static plan.  Deaths may
+    therefore only hit brokers that are not the primary of any
+    published topic: pure mirrors.  Brokers exit on end-of-stream
+    credits from publishers instead of static counts, a mirror broker
+    with a planned death crash-exits at its death time, and nobody
+    joins a trailing barrier a dead broker could not reach.
+
 All schedules and fan-out sets derive from the seed, every count is
 precomputed on every rank (no control traffic), and latencies are
 virtual-time differences — so the tables are byte-identical across
@@ -49,6 +60,7 @@ import numpy as np
 from repro.bench.load import ZipfKeys, arrival_times
 from repro.cluster import ClusterConfig, run_ranks
 from repro.errors import ReproError
+from repro.ft.detector import FailureDetector
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.sim.rng import RngStream
 
@@ -96,54 +108,108 @@ def build_pubsub_workload(seed: int, npubs: int, nsubs: int, nbrokers: int,
     return PubSubPlan(arrivals, topics, subs_of_topic, deliveries)
 
 
-def _publisher_program(ctx, plan, nbrokers, npubs, msgs_per_pub):
-    """Open-loop publisher: fire-and-forget notified puts to brokers."""
+def _windows(ctx, ft, npubs, msgs_per_pub, sub_bytes=8, broker=False):
+    """Collective window allocation, in the same order on every rank.
+
+    ``pub_win`` holds one slot per published record on brokers (on
+    every rank in ft mode) and a single record elsewhere; ``sub_win``
+    is a subscriber's inbox; ft mode adds the ``eos_win`` that carries
+    publishers' end-of-stream credits.
+    """
+    pub_bytes = _PUB_RECORD
+    if broker or ft:
+        pub_bytes = max(npubs * msgs_per_pub * _PUB_RECORD, _PUB_RECORD)
+    pub_win = yield from ctx.win_allocate(pub_bytes)
+    sub_win = yield from ctx.win_allocate(max(sub_bytes, 8))
+    eos_win = (yield from ctx.win_allocate(8)) if ft else None
+    return pub_win, sub_win, eos_win
+
+
+def _publisher_program(ctx, plan, nbrokers, npubs, msgs_per_pub,
+                       replication, ft):
+    """Open-loop publisher: fire-and-forget notified puts to brokers.
+
+    Each record goes to the first ``replication`` live brokers of the
+    topic's ring (just the static primary on the plain path).  In ft
+    mode the publisher ends with an end-of-stream credit to every live
+    broker instead of a barrier.
+    """
     p_idx = ctx.rank - nbrokers
     arrivals = plan.arrivals[p_idx]
     topics = plan.topics[p_idx]
-    pub_win = yield from ctx.win_allocate(_PUB_RECORD)
-    yield from ctx.win_allocate(8)        # sub_win (unused on publishers)
+    pub_win, _sub_win, eos_win = yield from _windows(
+        ctx, ft, npubs, msgs_per_pub)
+    det = FailureDetector(ctx)
     yield from ctx.barrier()
     t0 = ctx.now
+    mirrored = 0
     for i in range(len(arrivals)):
         due = t0 + arrivals[i]
         if ctx.now < due:
             yield ctx.timeout(due - ctx.now)
         topic = int(topics[i])
-        broker = topic % nbrokers
+        ring = [(topic + j) % nbrokers for j in range(nbrokers)]
+        targets = det.live(ring)[:replication]
         record = np.array([float(topic), ctx.now])
-        yield from ctx.na.put_notify(
-            pub_win, record, broker, (p_idx * msgs_per_pub + i) * _PUB_RECORD,
-            tag=i)
-        yield from pub_win.flush_local(broker)
-    yield from ctx.barrier()
-    return {"published": len(arrivals)}
+        for broker in targets:
+            yield from ctx.na.put_notify(
+                pub_win, record, broker,
+                (p_idx * msgs_per_pub + i) * _PUB_RECORD, tag=i)
+            yield from pub_win.flush_local(broker)
+        mirrored += len(targets) - 1
+    if ft:
+        empty = np.empty(0, dtype=np.uint8)
+        for b in det.live(range(nbrokers)):
+            yield from ctx.na.put_notify(eos_win, empty, b, 0, tag=0)
+            yield from eos_win.flush_local(b)
+    else:
+        yield from ctx.barrier()
+    return {"published": len(arrivals), "mirrored": mirrored}
 
 
-def _broker_program(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
-    """Match publisher records, fan out to each topic's subscribers."""
+def _broker_program(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub, ft):
+    """Match publisher records, fan out to each topic's subscribers.
+
+    The plain broker consumes its static record count.  In ft mode it
+    forwards only the topics it is the static primary of, stores the
+    mirrored rest, and exits on end-of-stream credits from every
+    publisher — or crash-exits at its planned death time.
+    """
     b = ctx.rank
-    expected = sum(1 for p in range(npubs) for t in plan.topics[p]
-                   if int(t) % nbrokers == b)
-    pub_win = yield from ctx.win_allocate(
-        max(npubs * msgs_per_pub * _PUB_RECORD, _PUB_RECORD))
-    sub_win = yield from ctx.win_allocate(8)
+    pub_win, sub_win, eos_win = yield from _windows(
+        ctx, ft, npubs, msgs_per_pub, broker=True)
+    t_die = FailureDetector(ctx).death_time(b)
+
+    def dead():
+        return t_die is not None and ctx.now >= t_die
+
     # Inbox segment offsets: subscriber s's inbox lays broker segments
     # back to back; this broker's segment starts after brokers < b.
     seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
                 for s in range(nsubs)]
     cursor = [0] * nsubs
-    req = yield from ctx.na.notify_init(pub_win, source=ANY_SOURCE,
-                                        tag=ANY_TAG)
+    pub_req = yield from ctx.na.notify_init(pub_win, source=ANY_SOURCE,
+                                            tag=ANY_TAG)
+    if ft:
+        eos_req = yield from ctx.na.notify_init(
+            eos_win, source=ANY_SOURCE, tag=0, expected_count=npubs)
     yield from ctx.barrier()
+    if dead():
+        raise ReproError(
+            f"broker {b} is planned dead at t={t_die:g}us, before setup "
+            f"finished at t={ctx.now:g}us — raise the death time")
     order: list[tuple[int, int]] = []
-    for _ in range(expected):
-        yield from ctx.na.start(req)
-        st = yield from ctx.na.wait(req)
+    mirrored = 0
+
+    def forward(st):
+        nonlocal mirrored
         p_idx = st.source - nbrokers
         slot = (p_idx * msgs_per_pub + st.tag) * _PUB_RECORD
         rec = pub_win.local(np.float64, offset=slot, count=2, mode="r")
         topic, pub_time = int(rec[0]), float(rec[1])
+        if topic % nbrokers != b:
+            mirrored += 1               # an ft mirror copy: store only
+            return
         order.append((st.source, st.tag))
         out = np.array([float(topic), pub_time, float(p_idx)])
         for s in plan.subs_of_topic[topic]:
@@ -153,19 +219,54 @@ def _broker_program(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
             yield from ctx.na.put_notify(sub_win, out, sub_rank, disp,
                                          tag=topic)
             yield from sub_win.flush_local(sub_rank)
-    yield from ctx.barrier()
-    return {"forwarded": sum(cursor), "order": order}
+
+    if not ft:
+        expected = sum(1 for p in range(npubs) for t in plan.topics[p]
+                       if int(t) % nbrokers == b)
+        for _ in range(expected):
+            yield from ctx.na.start(pub_req)
+            yield from forward((yield from ctx.na.wait(pub_req)))
+        yield from ctx.barrier()
+        return {"forwarded": sum(cursor), "order": order}
+    yield from ctx.na.start(pub_req)
+    yield from ctx.na.start(eos_req)
+    crashed = False
+    while True:
+        if dead():
+            crashed = True
+            break
+        idx = yield from ctx.na.testany([pub_req, eos_req])
+        if idx is None:
+            # testany may itself run past t_die: the loop head then
+            # crash-exits instead of arming a negative timeout
+            if ctx.nic.notification_pending() or dead():
+                continue
+            waits = [ctx.nic.notification_arrival()]
+            if t_die is not None:
+                waits.append(ctx.timeout(t_die - ctx.now))
+            yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
+            continue
+        if idx == 1:
+            break
+        yield from forward(pub_req.last_status)
+        yield from ctx.na.start(pub_req)
+    return {"forwarded": sum(cursor), "order": order,
+            "mirrored": mirrored, "crashed": crashed}
 
 
 def _subscriber_program(ctx, plan, nbrokers, npubs, nsubs, batch,
-                        warmup_us):
-    """Counting-notification batch wakeup + match-log consumption."""
+                        warmup_us, msgs_per_pub, ft):
+    """Counting-notification batch wakeup + match-log consumption.
+
+    The ft path skips the trailing barrier: dead mirror brokers cannot
+    join collectives.
+    """
     s = ctx.rank - nbrokers - npubs
     total = sum(plan.deliveries[b][s] for b in range(nbrokers))
     seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
                 for b in range(nbrokers)]
-    yield from ctx.win_allocate(_PUB_RECORD)   # pub_win (unused on subs)
-    sub_win = yield from ctx.win_allocate(max(total * _SUB_RECORD, 8))
+    _pub_win, sub_win, _eos_win = yield from _windows(
+        ctx, ft, npubs, msgs_per_pub, total * _SUB_RECORD)
     yield from ctx.barrier()
     t0 = ctx.now
 
@@ -213,177 +314,8 @@ def _subscriber_program(ctx, plan, nbrokers, npubs, nsubs, batch,
     if sum(consumed) != total:
         raise ReproError(
             f"subscriber {s}: consumed {sum(consumed)} of {total}")
-    yield from ctx.barrier()
-    return {"delivered": total, "measured": measured, "lat": lat,
-            "deliveries": deliveries, "t_last_wake": last_wake - t0}
-
-
-# ----------------------------------------------------------------------
-# fault-tolerant variants (replication + crash-exiting mirror brokers)
-# ----------------------------------------------------------------------
-# The ft path mirrors every publish to the first R live brokers of the
-# topic's ring (durability), while ONLY the topic's static primary
-# forwards to subscribers — so delivery counts stay the static plan and
-# the subscriber program is reused unchanged (minus the trailing
-# barrier).  Deaths may therefore only hit brokers that are not the
-# primary of any published topic: pure mirrors.  Brokers exit on
-# end-of-stream credits from publishers instead of static counts, and a
-# mirror broker with a planned death crash-exits at its death time.
-
-def _ft_pubsub_windows(ctx, npubs, nsubs, msgs_per_pub, total_sub_bytes):
-    """Collective window allocation for the ft path (same order on all
-    ranks): pub_win, sub_win, eos_win."""
-    pub_win = yield from ctx.win_allocate(
-        max(npubs * msgs_per_pub * _PUB_RECORD, _PUB_RECORD))
-    sub_win = yield from ctx.win_allocate(max(total_sub_bytes, 8))
-    eos_win = yield from ctx.win_allocate(8)
-    return pub_win, sub_win, eos_win
-
-
-def _publisher_program_ft(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub,
-                          replication):
-    """Publisher mirroring each record to R live brokers of the ring."""
-    from repro.ft.detector import FailureDetector
-    p_idx = ctx.rank - nbrokers
-    arrivals = plan.arrivals[p_idx]
-    topics = plan.topics[p_idx]
-    pub_win, _sub_win, eos_win = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, 8)
-    det = FailureDetector(ctx)
-    yield from ctx.barrier()
-    t0 = ctx.now
-    mirrored = 0
-    for i in range(len(arrivals)):
-        due = t0 + arrivals[i]
-        if ctx.now < due:
-            yield ctx.timeout(due - ctx.now)
-        topic = int(topics[i])
-        ring = [(topic + j) % nbrokers for j in range(nbrokers)]
-        targets = det.live(ring)[:replication]
-        record = np.array([float(topic), ctx.now])
-        for broker in targets:
-            yield from ctx.na.put_notify(
-                pub_win, record, broker,
-                (p_idx * msgs_per_pub + i) * _PUB_RECORD, tag=i)
-            yield from pub_win.flush_local(broker)
-        mirrored += len(targets) - 1
-    empty = np.empty(0, dtype=np.uint8)
-    for b in det.live(range(nbrokers)):
-        yield from ctx.na.put_notify(eos_win, empty, b, 0, tag=0)
-        yield from eos_win.flush_local(b)
-    return {"published": len(arrivals), "mirrored": mirrored}
-
-
-def _broker_program_ft(ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub):
-    """Broker forwarding owned topics, storing mirrors, exiting on EOS
-    credits (or crash-exiting at its planned death time)."""
-    from repro.ft.detector import FailureDetector
-    b = ctx.rank
-    pub_win, sub_win, eos_win = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, 8)
-    det = FailureDetector(ctx)
-    t_die = det.death_time(b)
-    seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
-                for s in range(nsubs)]
-    cursor = [0] * nsubs
-    pub_req = yield from ctx.na.notify_init(pub_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG)
-    eos_req = yield from ctx.na.notify_init(eos_win, source=ANY_SOURCE,
-                                            tag=0, expected_count=npubs)
-    yield from ctx.barrier()
-    if t_die is not None and ctx.now >= t_die:
-        raise ReproError(
-            f"broker {b} is planned dead at t={t_die:g}us, before setup "
-            f"finished at t={ctx.now:g}us — raise the death time")
-    order: list[tuple[int, int]] = []
-    mirrored = 0
-    crashed = False
-    yield from ctx.na.start(pub_req)
-    yield from ctx.na.start(eos_req)
-    while True:
-        if t_die is not None and ctx.now >= t_die:
-            crashed = True
-            break
-        idx = yield from ctx.na.testany([pub_req, eos_req])
-        if idx is None:
-            if ctx.nic.notification_pending():
-                continue
-            waits = [ctx.nic.notification_arrival()]
-            if t_die is not None:
-                waits.append(ctx.timeout(t_die - ctx.now))
-            yield waits[0] if len(waits) == 1 else ctx.engine.any_of(waits)
-            continue
-        if idx == 1:
-            break
-        st = pub_req.last_status
-        p_idx = st.source - nbrokers
-        slot = (p_idx * msgs_per_pub + st.tag) * _PUB_RECORD
-        rec = pub_win.local(np.float64, offset=slot, count=2, mode="r")
-        topic, pub_time = int(rec[0]), float(rec[1])
-        if topic % nbrokers == b:
-            order.append((st.source, st.tag))
-            out = np.array([float(topic), pub_time, float(p_idx)])
-            for s in plan.subs_of_topic[topic]:
-                disp = (seg_base[s] + cursor[s]) * _SUB_RECORD
-                cursor[s] += 1
-                sub_rank = nbrokers + npubs + s
-                yield from ctx.na.put_notify(sub_win, out, sub_rank, disp,
-                                             tag=topic)
-                yield from sub_win.flush_local(sub_rank)
-        else:
-            mirrored += 1
-        yield from ctx.na.start(pub_req)
-    return {"forwarded": sum(cursor), "order": order,
-            "mirrored": mirrored, "crashed": crashed}
-
-
-def _subscriber_program_ft(ctx, plan, nbrokers, npubs, nsubs, batch,
-                           warmup_us, msgs_per_pub):
-    """Legacy subscriber logic behind the ft window layout, no trailing
-    barrier (dead mirror brokers cannot join collectives)."""
-    s = ctx.rank - nbrokers - npubs
-    total = sum(plan.deliveries[b][s] for b in range(nbrokers))
-    seg_base = [sum(plan.deliveries[bb][s] for bb in range(b))
-                for b in range(nbrokers)]
-    _pub, sub_win, _eos = yield from _ft_pubsub_windows(
-        ctx, npubs, nsubs, msgs_per_pub, total * _SUB_RECORD)
-    yield from ctx.barrier()
-    t0 = ctx.now
-    matched = 0
-    consumed = [0] * nbrokers
-    deliveries: list[tuple[int, int]] = []
-    lat: list[float] = []
-    measured = 0
-    last_wake = t0
-    while matched < total:
-        want = min(batch, total - matched)
-        req = yield from ctx.na.notify_init(sub_win, source=ANY_SOURCE,
-                                            tag=ANY_TAG,
-                                            expected_count=want)
-        yield from ctx.na.start(req)
-        yield from ctx.na.wait(req)
-        batch_log = list(req.match_log)
-        yield from ctx.na.request_free(req)
-        matched += want
-        wake = max(t for _, _, t in batch_log)
-        last_wake = max(last_wake, wake)
-        for source, tag, _t in batch_log:
-            slot = (seg_base[source] + consumed[source]) * _SUB_RECORD
-            consumed[source] += 1
-            rec = sub_win.local(np.float64, offset=slot, count=3,
-                                mode="r")
-            topic, pub_time = int(rec[0]), float(rec[1])
-            if topic != tag:
-                raise ReproError(
-                    f"subscriber {s}: slot topic {topic} != "
-                    f"notification tag {tag}")
-            deliveries.append((topic, int(rec[2])))
-            if pub_time - t0 >= warmup_us:
-                lat.append(wake - pub_time)
-                measured += 1
-    if sum(consumed) != total:
-        raise ReproError(
-            f"subscriber {s}: consumed {sum(consumed)} of {total}")
+    if not ft:
+        yield from ctx.barrier()
     return {"delivered": total, "measured": measured, "lat": lat,
             "deliveries": deliveries, "t_last_wake": last_wake - t0}
 
@@ -393,7 +325,7 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
                rate_rps: float = 4000.0, batch: int = 4,
                zipf_skew: float = 0.9, warmup_frac: float = 0.2,
                process: str = "poisson", replication: int = 1,
-               ft: bool = False, seed: int = 42,
+               seed: int = 42,
                config: ClusterConfig | None = None) -> dict:
     """Run the pub/sub broker service; returns delivery traces + latencies.
 
@@ -402,13 +334,13 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
     amortization against tail latency — the counting-notification
     trade-off, measurable here.
 
-    ``ft=True`` (implied by ``replication > 1``) switches to the
-    fault-tolerant programs: publishes mirror to the first
-    ``replication`` live brokers of the topic ring for durability, while
-    only the static primary forwards — so deliveries stay the
-    precomputed plan and deaths may only hit pure-mirror brokers (the
-    plan is validated).  The legacy path is untouched and stays
-    byte-identical to earlier revisions.
+    ``replication > 1`` or an active fault plan in ``config`` selects
+    fault-tolerant mode: publishes mirror to the first ``replication``
+    live brokers of the topic ring for durability, while only the
+    static primary forwards — so deliveries stay the precomputed plan
+    and deaths may only hit pure-mirror brokers (the plan is
+    validated).  Brokers then exit on end-of-stream credits rather
+    than static counts, and the result adds mirror and crash counts.
     """
     if min(nbrokers, npubs, nsubs) < 1:
         raise ReproError("need at least one broker/publisher/subscriber")
@@ -421,7 +353,6 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
     if not 1 <= replication <= nbrokers:
         raise ReproError(
             f"replication {replication} outside [1, nbrokers={nbrokers}]")
-    ft = ft or replication > 1
     nranks = nbrokers + npubs + nsubs
     if config is None:
         config = ClusterConfig(nranks=nranks, ranks_per_node=2)
@@ -432,11 +363,9 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
                                  fanout, msgs_per_pub, rate_rps, zipf_skew,
                                  process)
     plan_f = config.faults
-    if plan_f is not None and plan_f.active:
-        if not ft:
-            raise ReproError(
-                "run_pubsub under a fault plan needs ft=True (or "
-                "replication > 1)")
+    faulty = plan_f is not None and plan_f.active
+    ft = replication > 1 or faulty
+    if faulty:
         if not plan_f.shardable:
             raise ReproError(
                 "run_pubsub ft mode needs a node-failure-only FaultPlan")
@@ -454,30 +383,16 @@ def run_pubsub(nbrokers: int = 2, npubs: int = 4, nsubs: int = 6,
     def program(ctx):
         # analyze: skip  (rank count and loop bounds come from the plan)
         if ctx.rank < nbrokers:
-            if ft:
-                result = yield from _broker_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub)
-            else:
-                result = yield from _broker_program(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub)
+            result = yield from _broker_program(
+                ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub, ft)
         elif ctx.rank < nbrokers + npubs:
-            if ft:
-                result = yield from _publisher_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, msgs_per_pub,
-                    replication)
-            else:
-                result = yield from _publisher_program(
-                    ctx, plan, nbrokers, npubs, msgs_per_pub)
+            result = yield from _publisher_program(
+                ctx, plan, nbrokers, npubs, msgs_per_pub, replication, ft)
         else:
-            if ft:
-                result = yield from _subscriber_program_ft(
-                    ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us,
-                    msgs_per_pub)
-            else:
-                result = yield from _subscriber_program(
-                    ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us)
+            result = yield from _subscriber_program(
+                ctx, plan, nbrokers, npubs, nsubs, batch, warmup_us,
+                msgs_per_pub, ft)
         return result
-
     results, _cluster = run_ranks(nranks, program, config=config)
     brokers = results[:nbrokers]
     subs = results[nbrokers + npubs:]

@@ -35,6 +35,8 @@ CASES = [
      "# only 2 of 3", (0,), 2),
     ("wait_cycle.py", "deadlock.wait-cycle",
      "# both ranks block", (0, 1), 2),
+    ("collective_cycle.py", "deadlock.wait-cycle",
+     "# blocks before the collective", (0, 1), 2),
     ("missing_flush.py", "epoch.missing-flush",
      "# read too early", (), None),
     ("unblessed_raw.py", "epoch.raw-view",
